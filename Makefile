@@ -6,8 +6,9 @@ GO ?= go
 # reference: Exchange/Route (columnar plan/scatter vs tuple-at-a-time),
 # SampleSort/SerialSortRef (rank-vector sort vs coordinator sort), the
 # columnar FromRelation placement, plus Lookup end-to-end over the pooled
-# record columns and the cost-based dispatch overhead (AutoCost).
-BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost
+# record columns, the cost-based dispatch overhead (AutoCost), and the
+# local-compute layer: BinaryJoin end to end over the hash-index kernels.
+BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkMicro_BinaryJoin|BenchmarkEngine_AutoCost
 COUNT ?= 6
 
 # Coverage floors for the data-plane packages (percent of statements).
@@ -27,8 +28,8 @@ FUZZTIME ?= 10s
 # threshold because trajectory files come from whatever machine ran `make
 # bench` — it must absorb machine drift while still catching a lost
 # optimization.
-BENCH_JSON ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
+BENCH_JSON ?= BENCH_12.json
+BENCH_BASELINE ?= BENCH_10.json
 GATE ?= 25
 
 .PHONY: ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments

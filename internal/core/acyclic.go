@@ -291,11 +291,12 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 	const prodAttr = relation.Attr(-150)
 	cur := addColumn(r0, prodAttr, 1)
 	prodPos := len(cur.Schema) - 1
+	var t relation.Tuple // Lookup copies each returned item before the next call
 	for i, lc := range lightC {
 		deg := primitives.CountByKey(lc, si[i], seed^uint64(0x60+i))
 		cur = primitives.Lookup(cur, si[i], deg, si[i], cur.Schema,
 			func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-				t := it.T.Clone()
+				t = append(t[:0], it.T...)
 				if !r.Found {
 					t[prodPos] = 0
 				} else if v := t[prodPos] * relation.Value(r.DAnnot); v > tauClamp {

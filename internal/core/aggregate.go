@@ -160,9 +160,7 @@ func CountOutput(c *mpc.Cluster, in *Instance, seed uint64) int64 {
 func CountOutputDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, seed uint64) int64 {
 	ones := make([]*mpc.Dist, len(dists))
 	for i, d := range dists {
-		ones[i] = d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-			return []mpc.Item{{T: it.T, A: 1}}
-		})
+		ones[i] = d.Unannotated()
 	}
 	res := linearAggroDists(q, ones, nil, relation.CountRing, seed)
 	return res.Scalar

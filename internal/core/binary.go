@@ -74,29 +74,33 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
 	}
 
+	// Routing hashes rows in place. A light key goes to one hashed server,
+	// returned as a shared read-only window of lightDst (the exchange never
+	// mutates what a many callback returns); a heavy key's tuple picks a
+	// row (a side) or column (b side) of its grid, whose destination lists
+	// buildGrid precomputed.
+	lightDst := make([]int, c.P)
+	for i := range lightDst {
+		lightDst[i] = i
+	}
 	routeSide := func(d *mpc.Dist, keyPos []int, isA bool, salt uint64) *mpc.Dist {
+		allPos := make([]int, len(d.Schema))
+		for i := range allPos {
+			allPos[i] = i
+		}
 		return d.ReplicateBy(func(it mpc.Item) []int {
 			n := len(it.T)
 			da, db := int64(it.T[n-2]), int64(it.T[n-1])
-			k := relation.KeyAt(it.T, keyPos)
 			if !heavy(da, db) {
-				return []int{int(mpc.Hash64(k, seed^0x10) % uint64(c.P))}
+				dst := int(mpc.HashTupleAt(it.T, keyPos, seed^0x10) % uint64(c.P))
+				return lightDst[dst : dst+1 : dst+1]
 			}
-			g := dir[k]
+			g := dir[relation.KeyAt(it.T, keyPos)]
+			h := mpc.HashTupleAt(it.T, allPos, salt)
 			if isA {
-				row := int(mpc.Hash64(relation.EncodeTuple(it.T), salt) % uint64(g.rows))
-				dst := make([]int, g.cols)
-				for col := 0; col < g.cols; col++ {
-					dst[col] = (g.base + row*g.cols + col) % c.P
-				}
-				return dst
+				return g.rowDst[h%uint64(len(g.rowDst))]
 			}
-			col := int(mpc.Hash64(relation.EncodeTuple(it.T), salt) % uint64(g.cols))
-			dst := make([]int, g.rows)
-			for row := 0; row < g.rows; row++ {
-				dst[row] = (g.base + row*g.cols + col) % c.P
-			}
-			return dst
+			return g.colDst[h%uint64(len(g.colDst))]
 		})
 	}
 	ra := routeSide(ax, aPosKey, true, seed^0x20)
@@ -107,37 +111,56 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 	// and emission runs afterwards in server order, so the emitter sees the
 	// exact serial sequence.
 	res := mpc.NewDist(c, outSchema)
-	bExtra := b.Schema.Minus(a.Schema)
-	bExtraPosIn := rb.Positions(bExtra)
-	aCore := len(a.Schema)
+	bExtraPos := rb.Positions(b.Schema.Minus(a.Schema))
 	runtime.Fork(len(ra.Parts), func(s int) {
 		pa, pb := &ra.Parts[s], &rb.Parts[s]
 		if pa.Len() == 0 || pb.Len() == 0 {
 			return
 		}
-		idx := make(map[string][]mpc.Item)
-		for i := 0; i < pb.Len(); i++ {
-			it := pb.Item(i)
-			k := relation.KeyAt(it.T, bPosKey)
-			idx[k] = append(idx[k], it)
-		}
-		var part mpc.Columns
-		for i := 0; i < pa.Len(); i++ {
-			ai := pa.Item(i)
-			k := relation.KeyAt(ai.T, aPosKey)
-			for _, bi := range idx[k] {
-				t := make(relation.Tuple, 0, len(outSchema))
-				t = append(t, ai.T[:aCore]...)
-				for _, p := range bExtraPosIn {
-					t = append(t, bi.T[p])
-				}
-				part.Append(t, ring.Mul(ai.A, bi.A))
-			}
-		}
-		res.Parts[s] = part
+		res.Parts[s] = joinPart(pa, pb, aPosKey, bPosKey, len(a.Schema), bExtraPos, ring)
 	})
 	emitParts(res, em)
 	return res
+}
+
+// joinPart is the per-server hash join: it indexes pb by its key, counts
+// the output in one probe pass over pa, allocates the output once at that
+// exact size, and writes each row through one reused scratch row — the
+// first aCore values of the a row followed by the b row's values at
+// bExtraPos. Rows come out in (a row, matching b rows in row order) order.
+//
+//lint:alloc-ceiling
+func joinPart(pa, pb *mpc.Columns, aKey, bKey []int, aCore int, bExtraPos []int, ring relation.Semiring) mpc.Columns {
+	ix := mpc.NewKeyIndex(pb, bKey)
+	match := make([]int32, pa.Len())
+	n := 0
+	for i := range match {
+		g := ix.Find(pa.Tuple(i), aKey)
+		match[i] = int32(g)
+		if g >= 0 {
+			n += len(ix.Rows(g))
+		}
+	}
+	if n == 0 {
+		return mpc.Columns{}
+	}
+	out := mpc.MakeColumns(aCore+len(bExtraPos), n)
+	row := make(relation.Tuple, aCore+len(bExtraPos))
+	for i, g := range match {
+		if g < 0 {
+			continue
+		}
+		copy(row, pa.Tuple(i)[:aCore])
+		aAnnot := pa.Annot(i)
+		for _, r := range ix.Rows(int(g)) {
+			bt := pb.Tuple(int(r))
+			for j, p := range bExtraPos {
+				row[aCore+j] = bt[p]
+			}
+			out.Append(row, ring.Mul(aAnnot, pb.Annot(int(r))))
+		}
+	}
+	return out
 }
 
 // emitParts reports every item of res to em in server order — the serial
@@ -154,43 +177,57 @@ func emitParts(res *mpc.Dist, em mpc.Emitter) {
 	}
 }
 
-// gridInfo describes the server grid of one heavy key.
+// gridInfo describes the server grid of one heavy key: rowDst[r] lists
+// the servers of grid row r (where an a tuple hashed to row r goes), and
+// colDst[k] those of grid column k (where a b tuple hashed to column k
+// goes).
 type gridInfo struct {
-	base, rows, cols int
+	rowDst, colDst [][]int
 }
 
 // joinDegrees co-locates the two degree tables by key and merges them into
 // one table with schema shared ++ (synthDA, synthDB); keys present on only
 // one side are dropped (they cannot contribute join results).
 func joinDegrees(dA, dB *mpc.Dist, shared relation.Schema, salt uint64) *mpc.Dist {
-	c := dA.C
 	keyAttrs := []relation.Attr(shared)
 	sa := dA.ShuffleByKey(dA.Positions(keyAttrs), salt)
 	sb := dB.ShuffleByKey(dB.Positions(keyAttrs), salt)
 	schema := append(append(relation.Schema{}, shared...), synthDA, synthDB)
-	out := mpc.NewDist(c, schema)
+	out := mpc.NewDist(dA.C, schema)
 	posA := sa.Positions(keyAttrs)
 	posB := sb.Positions(keyAttrs)
 	for s := range sa.Parts {
 		pa, pb := &sa.Parts[s], &sb.Parts[s]
-		bdeg := make(map[string]int64)
-		for i := 0; i < pb.Len(); i++ {
-			bdeg[relation.KeyAt(pb.Tuple(i), posB)] = pb.Annot(i)
+		if pa.Len() > 0 && pb.Len() > 0 {
+			out.Parts[s] = degreePart(pa, pb, posA, posB)
 		}
-		for i := 0; i < pa.Len(); i++ {
-			tup := pa.Tuple(i)
-			k := relation.KeyAt(tup, posA)
-			db, ok := bdeg[k]
-			if !ok {
-				continue
-			}
-			t := make(relation.Tuple, 0, len(schema))
-			for _, p := range posA {
-				t = append(t, tup[p])
-			}
-			t = append(t, relation.Value(pa.Annot(i)), relation.Value(db))
-			out.Parts[s].Append(t, 1)
+	}
+	return out
+}
+
+// degreePart merges one server's degree tables: every pa row whose key
+// occurs in pb becomes (key, da, db), da and db being the rows'
+// annotations (when pb repeats a key, its last row counts).
+//
+//lint:alloc-ceiling
+func degreePart(pa, pb *mpc.Columns, posA, posB []int) mpc.Columns {
+	ix := mpc.NewKeyIndex(pb, posB)
+	k := len(posA)
+	out := mpc.MakeColumns(k+2, min(pa.Len(), ix.Groups()))
+	row := make(relation.Tuple, k+2)
+	for i := 0; i < pa.Len(); i++ {
+		t := pa.Tuple(i)
+		g := ix.Find(t, posA)
+		if g < 0 {
+			continue
 		}
+		rows := ix.Rows(g)
+		for j, p := range posA {
+			row[j] = t[p]
+		}
+		row[k] = relation.Value(pa.Annot(i))
+		row[k+1] = relation.Value(pb.Annot(int(rows[len(rows)-1])))
+		out.Append(row, 1)
 	}
 	return out
 }
@@ -232,10 +269,31 @@ func buildGrid(jd *mpc.Dist, shared relation.Schema, l0, out int64, p int) map[s
 		// would meet on two servers and be reported twice.
 		dims := []int{rows, cols}
 		size := clampDims(dims, p)
-		dir[h.key] = gridInfo{base: base % p, rows: dims[0], cols: dims[1]}
+		dir[h.key] = newGridInfo(base%p, dims[0], dims[1], p)
 		base += size
 	}
 	return dir
+}
+
+// newGridInfo lays a rows × cols grid out on servers base, base+1, … (mod
+// p), row-major.
+func newGridInfo(base, rows, cols, p int) gridInfo {
+	g := gridInfo{rowDst: make([][]int, rows), colDst: make([][]int, cols)}
+	cells := make([]int, rows*cols)
+	for i := range cells {
+		cells[i] = (base + i) % p
+	}
+	for r := range g.rowDst {
+		g.rowDst[r] = cells[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	for k := range g.colDst {
+		col := make([]int, rows)
+		for r := range col {
+			col[r] = cells[r*cols+k]
+		}
+		g.colDst[k] = col
+	}
+	return g
 }
 
 // chargeDirectory charges gathering n directory entries to the coordinator
@@ -260,37 +318,13 @@ func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist 
 	keyAttrs := []relation.Attr(shared)
 	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
 	jdN := len(jd.Schema)
+	var row relation.Tuple // Lookup copies each returned item before the next call
 	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
 		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
 			if !r.Found {
 				return mpc.Item{}, false
 			}
-			t := make(relation.Tuple, 0, len(it.T)+2)
-			t = append(t, it.T...)
-			t = append(t, r.DTuple[jdN-2], r.DTuple[jdN-1])
-			return mpc.Item{T: t, A: it.A}, true
+			row = append(append(row[:0], it.T...), r.DTuple[jdN-2], r.DTuple[jdN-1])
+			return mpc.Item{T: row, A: it.A}, true
 		})
-}
-
-// StripSynthetic removes synthetic attributes from a schema/dist, keeping
-// query attributes only. Used by algorithms that pass extended tuples on.
-func StripSynthetic(d *mpc.Dist) *mpc.Dist {
-	var keep []relation.Attr
-	for _, a := range d.Schema {
-		if a >= 0 {
-			keep = append(keep, a)
-		}
-	}
-	if len(keep) == len(d.Schema) {
-		return d
-	}
-	pos := d.Positions(keep)
-	schema := relation.NewSchema(keep...)
-	return d.MapLocal(schema, func(_ int, it mpc.Item) []mpc.Item {
-		t := make(relation.Tuple, len(pos))
-		for i, p := range pos {
-			t[i] = it.T[p]
-		}
-		return []mpc.Item{{T: t, A: it.A}}
-	})
 }

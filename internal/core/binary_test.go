@@ -168,16 +168,3 @@ func TestBinaryJoinEmitter(t *testing.T) {
 		t.Errorf("emitter saw %d, result has %d", em.N, res.Size())
 	}
 }
-
-func TestStripSynthetic(t *testing.T) {
-	c := mpc.NewCluster(2)
-	d := mpc.NewDist(c, relation.Schema{1, synthDA, 2})
-	d.Parts[0].Append(relation.Tuple{10, 99, 20}, 1)
-	s := StripSynthetic(d)
-	if !s.Schema.Equal(relation.NewSchema(1, 2)) {
-		t.Fatalf("schema = %v", s.Schema)
-	}
-	if s.All()[0].T[0] != 10 || s.All()[0].T[1] != 20 {
-		t.Errorf("tuple = %v", s.All()[0].T)
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/primitives"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // Line3 is the paper's Section 4.2 output-optimal algorithm for the line-3
@@ -124,17 +125,35 @@ func splitByDegree(d *mpc.Dist, keyAttrs []relation.Attr, deg *mpc.Dist, tau int
 	return heavy, light
 }
 
-// ProjectLocal projects d onto schema without communication.
+// ProjectLocal projects d onto schema without communication. Parts are
+// projected in parallel, each into an output presized to its row count.
 func ProjectLocal(d *mpc.Dist, schema relation.Schema) *mpc.Dist {
 	if d.Schema.Equal(schema) {
 		return d
 	}
 	pos := d.Positions([]relation.Attr(schema))
-	return d.MapLocal(schema, func(_ int, it mpc.Item) []mpc.Item {
-		t := make(relation.Tuple, len(pos))
-		for i, p := range pos {
-			t[i] = it.T[p]
+	out := mpc.NewDist(d.C, schema)
+	runtime.Fork(len(d.Parts), func(s int) {
+		if d.Parts[s].Len() > 0 {
+			out.Parts[s] = projectPart(&d.Parts[s], pos)
 		}
-		return []mpc.Item{{T: t, A: it.A}}
 	})
+	return out
+}
+
+// projectPart writes src's rows projected onto pos, with their
+// annotations, into one output allocated at src's row count.
+//
+//lint:alloc-ceiling
+func projectPart(src *mpc.Columns, pos []int) mpc.Columns {
+	out := mpc.MakeColumns(len(pos), src.Len())
+	row := make(relation.Tuple, len(pos))
+	for i := 0; i < src.Len(); i++ {
+		t := src.Tuple(i)
+		for j, p := range pos {
+			row[j] = t[p]
+		}
+		out.Append(row, src.Annot(i))
+	}
+	return out
 }

@@ -126,17 +126,7 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 		return
 	}
 	pos := d.Positions([]relation.Attr(schema))
-	emitPart := func(s int, sink mpc.Emitter) {
-		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			src := part.Tuple(i)
-			t := make(relation.Tuple, len(pos))
-			for j, p := range pos {
-				t[j] = src[p]
-			}
-			sink.Emit(s, t, part.Annot(i))
-		}
-	}
+	emitPart := func(s int, sink mpc.Emitter) { emitProjected(s, &d.Parts[s], pos, sink) }
 	if direct, forkers, ok := shardableSinks(em, len(d.Parts)); ok && d.Size() >= emitSerialBelow {
 		locals := make([][]mpc.Emitter, len(d.Parts))
 		runtime.Fork(len(d.Parts), func(s int) {
@@ -161,6 +151,25 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 	}
 	for s := range d.Parts {
 		emitPart(s, em)
+	}
+}
+
+// emitProjected reports every row of server s's part, projected onto pos,
+// to sink. The projection is written into one scratch row reused across
+// rows: mpc.Emitter lends the tuple for the duration of the call only.
+//
+//lint:alloc-ceiling
+func emitProjected(s int, part *mpc.Columns, pos []int, sink mpc.Emitter) {
+	if part.Len() == 0 {
+		return
+	}
+	row := make(relation.Tuple, len(pos))
+	for i := 0; i < part.Len(); i++ {
+		t := part.Tuple(i)
+		for j, p := range pos {
+			row[j] = t[p]
+		}
+		sink.Emit(s, row, part.Annot(i))
 	}
 }
 

@@ -160,12 +160,24 @@ func (job Job) instance() *core.Instance {
 	return &cp
 }
 
+// validate rejects a job the engine cannot run, before anything is built
+// from it: a job without an instance, or with a negative cluster size.
+func (job Job) validate() error {
+	if job.In == nil {
+		return fmt.Errorf("engine: job has no instance")
+	}
+	if job.P < 0 {
+		return fmt.Errorf("engine: invalid server count %d (want P ≥ 1, or 0 for DefaultP)", job.P)
+	}
+	return nil
+}
+
 // Run executes a on a fresh cluster sized per job and measures it. The
 // returned Result is valid even when err wraps ErrVerify — the run
 // completed, only the check failed.
 func Run(a Algorithm, job Job) (Result, error) {
-	if job.In == nil {
-		return Result{}, fmt.Errorf("engine: job has no instance")
+	if err := job.validate(); err != nil {
+		return Result{}, err
 	}
 	if !a.Applies(job.In.Q) {
 		return Result{}, fmt.Errorf("engine: %s does not apply to %v (class %s)",
@@ -284,8 +296,8 @@ func outEstimate(job Job) int64 {
 // predicted and measured loads, so mispredictions are visible to every
 // caller.
 func AutoRun(job Job) (Result, error) {
-	if job.In == nil {
-		return Result{}, fmt.Errorf("engine: job has no instance")
+	if err := job.validate(); err != nil {
+		return Result{}, err
 	}
 	a, cands, err := AutoCost(job.In, job.P, outEstimate(job))
 	if err != nil {

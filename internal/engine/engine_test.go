@@ -223,6 +223,42 @@ func TestRunRejectsInapplicable(t *testing.T) {
 	}
 }
 
+// TestRejectsInvalidJobs asserts that jobs the engine cannot run come
+// back as errors from both entry points instead of panicking in the
+// cluster constructor or the dispatcher.
+func TestRejectsInvalidJobs(t *testing.T) {
+	in := gen.ForQuery(mpc.NewRng(3), hypergraph.Line2(), 16, 4)
+	cases := []struct {
+		name string
+		job  engine.Job
+	}{
+		{"negative P", engine.Job{In: in, P: -1}},
+		{"very negative P", engine.Job{In: in, P: -1 << 40}},
+		{"no instance", engine.Job{P: 4}},
+	}
+	entries := []struct {
+		name string
+		run  func(engine.Job) (engine.Result, error)
+	}{
+		{"RunNamed", func(j engine.Job) (engine.Result, error) { return engine.RunNamed("yannakakis", j) }},
+		{"AutoRun", engine.AutoRun},
+	}
+	for _, tc := range cases {
+		for _, e := range entries {
+			t.Run(tc.name+"/"+e.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if _, err := e.run(tc.job); err == nil {
+					t.Fatal("no error")
+				}
+			})
+		}
+	}
+}
+
 // TestRegistry covers lookup misses and the sorted name list.
 func TestRegistry(t *testing.T) {
 	if _, ok := engine.Lookup("no-such-algorithm"); ok {

@@ -58,11 +58,16 @@ func FamilyNames() []string {
 	return out
 }
 
-// Build constructs an instance of the named family.
+// Build constructs an instance of the named family. Sizes are validated
+// here, once for every family: the input size must be positive and the
+// output size non-negative.
 func Build(name string, rng *mpc.Rng, in, out int) (*core.Instance, error) {
 	f, ok := families[name]
 	if !ok {
 		return nil, fmt.Errorf("gen: unknown instance family %q (have %v)", name, FamilyNames())
+	}
+	if in < 1 || out < 0 {
+		return nil, fmt.Errorf("gen: family %q needs in ≥ 1 and out ≥ 0, got in=%d out=%d", name, in, out)
 	}
 	return f.Build(rng, in, out), nil
 }

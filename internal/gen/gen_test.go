@@ -155,3 +155,35 @@ func TestLineKUniform(t *testing.T) {
 		t.Errorf("IN = %d, want 100", in.IN())
 	}
 }
+
+// TestBuildRejectsBadSizes asserts that sizes no family can build from
+// come back as Build's error, for every registered family, instead of a
+// panic (an integer divide by zero in the hard families).
+func TestBuildRejectsBadSizes(t *testing.T) {
+	cases := []struct {
+		name    string
+		in, out int
+	}{
+		{"zero sizes", 0, 0},
+		{"zero input", 0, 64},
+		{"negative input", -8, 64},
+		{"negative output", 64, -1},
+	}
+	for _, f := range FamilyNames() {
+		for _, tc := range cases {
+			t.Run(f+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if _, err := Build(f, mpc.NewRng(1), tc.in, tc.out); err == nil {
+					t.Fatal("no error")
+				}
+			})
+		}
+	}
+	if _, err := Build("hard", nil, 64, 0); err != nil {
+		t.Fatalf("hard with out=0: %v", err)
+	}
+}

@@ -67,9 +67,15 @@ func (c *Columns) Annot(i int) int64 {
 func (c *Columns) Item(i int) Item { return Item{T: c.Tuple(i), A: c.Annot(i)} }
 
 // materializeAnnots backfills the annotation column with 1s so that a
-// non-identity annotation can be stored.
+// non-identity annotation can be stored. The column reserves as many rows
+// as the value buffer has room for, so a part presized with MakeColumns
+// fills its annotations without regrowing them either.
 func (c *Columns) materializeAnnots() {
-	c.annots = make([]int64, c.rows, max(c.rows, 8))
+	rowCap := c.rows
+	if c.width > 0 {
+		rowCap = cap(c.values) / c.width
+	}
+	c.annots = make([]int64, c.rows, max(rowCap, 8))
 	for i := range c.annots {
 		c.annots[i] = 1
 	}

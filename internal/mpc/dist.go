@@ -171,6 +171,8 @@ func (d *Dist) ShuffleBy(f func(it Item) int) *Dist {
 
 // ReplicateBy routes each item to every server chosen by f (used by
 // HyperCube-style plans where a tuple is copied along grid dimensions).
+// The exchange only reads the slice f returns and keeps no reference to
+// it, so f may return slices shared across items.
 //
 //lint:load linear trust the replication function is caller-supplied; nothing bounds how many items reach one server
 //lint:rounds const
@@ -197,6 +199,20 @@ func (d *Dist) Broadcast() *Dist {
 //lint:rounds const
 func (d *Dist) GatherTo(s int) *Dist {
 	return d.route(d.Schema, router{one: func(_ int, _ Item) int { return s }})
+}
+
+// Unannotated returns a view of d whose annotations all read as 1; local,
+// free and O(p). The view's parts share d's value buffers,
+// capacity-clamped so that an append to either side copies rather than
+// writing into the other.
+func (d *Dist) Unannotated() *Dist {
+	out := &Dist{C: d.C, Schema: d.Schema, Parts: make([]Columns, len(d.Parts))}
+	for s := range d.Parts {
+		src := &d.Parts[s]
+		n := src.rows * src.width
+		out.Parts[s] = Columns{width: src.width, rows: src.rows, values: src.values[:n:n]}
+	}
+	return out
 }
 
 // MapLocal rewrites every item locally (no communication, no new round).

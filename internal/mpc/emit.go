@@ -8,6 +8,12 @@ import (
 
 // Emitter receives join results. Emission is the model's zero-cost emit():
 // it charges no load. The schema of emitted tuples is fixed per join.
+//
+// The tuple passed to Emit is borrowed, read-only, for the duration of the
+// call: producers reuse one scratch row across emissions (core.EmitDist)
+// or hand out windows into a part's flat buffer (core's emitParts). An
+// emitter that keeps a tuple must copy it — CollectEmitter clones,
+// ShardedEmitter appends into its own flat buffer.
 type Emitter interface {
 	Emit(server int, t relation.Tuple, annot int64)
 }

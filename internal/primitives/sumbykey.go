@@ -25,42 +25,47 @@ func SumByKey(d *mpc.Dist, keyAttrs []relation.Attr, ring relation.Semiring, sal
 }
 
 // CountByKey returns the degree of every key: one item per distinct key,
-// annotated with the number of matching items (annotations ignored).
+// annotated with the number of matching items (annotations ignored — the
+// combiner reads d through a view whose annotations are all 1).
 //
 //lint:load perP
 //lint:rounds const
 func CountByKey(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist {
-	ones := d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-		return []mpc.Item{{T: it.T, A: 1}}
-	})
-	return SumByKey(ones, keyAttrs, relation.CountRing, salt)
+	return SumByKey(d.Unannotated(), keyAttrs, relation.CountRing, salt)
 }
 
-// localCombine aggregates per server: one output item per (server, key).
+// localCombine aggregates per server: one output item per (server, key),
+// keys in order of first occurrence on the server.
 func localCombine(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.Semiring) *mpc.Dist {
 	out := mpc.NewDist(d.C, schema)
 	for s := range d.Parts {
-		part := &d.Parts[s]
-		agg := make(map[string]int64, part.Len())
-		repr := make(map[string]relation.Tuple, part.Len())
-		var order []string
-		for i := 0; i < part.Len(); i++ {
-			t := part.Tuple(i)
-			k := relation.KeyAt(t, pos)
-			if _, ok := agg[k]; !ok {
-				agg[k] = ring.Zero
-				proj := make(relation.Tuple, len(pos))
-				for j, p := range pos {
-					proj[j] = t[p]
-				}
-				repr[k] = proj
-				order = append(order, k)
-			}
-			agg[k] = ring.Add(agg[k], part.Annot(i))
+		if d.Parts[s].Len() > 0 {
+			out.Parts[s] = combinePart(&d.Parts[s], pos, ring)
 		}
-		for _, k := range order {
-			out.Parts[s].Append(repr[k], agg[k])
+	}
+	return out
+}
+
+// combinePart is localCombine's kernel on one part: one KeyIndex build,
+// then one presized output row per group, its annotations folded with
+// ring.Add in row order.
+//
+//lint:alloc-ceiling
+func combinePart(part *mpc.Columns, pos []int, ring relation.Semiring) mpc.Columns {
+	ix := mpc.NewKeyIndex(part, pos)
+	out := mpc.MakeColumns(len(pos), ix.Groups())
+	row := make(relation.Tuple, len(pos))
+	for g := 0; g < ix.Groups(); g++ {
+		rows := ix.Rows(g)
+		t := part.Tuple(int(rows[0]))
+		for j, p := range pos {
+			row[j] = t[p]
 		}
+		agg := ring.Zero
+		for _, r := range rows {
+			agg = ring.Add(agg, part.Annot(int(r)))
+		}
+		out.Append(row, agg)
 	}
 	return out
 }
